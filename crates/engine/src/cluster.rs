@@ -120,17 +120,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Turns on the static submit gate.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set it on the shared configuration: `Topology::static_checks` \
-                (then `ClusterBuilder::from_topology`)"
-    )]
-    pub fn static_checks(mut self) -> Self {
-        self.topo.engine.static_checks = true;
-        self
-    }
-
     /// Seeds an initial item value (placed by the directory). Accepts raw
     /// `u64` item ids and anything convertible to a [`Value`].
     pub fn item(mut self, item: impl Into<ItemId>, value: impl Into<Value>) -> Self {

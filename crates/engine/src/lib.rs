@@ -25,6 +25,7 @@
 pub mod client;
 pub mod cluster;
 pub mod crashpoint;
+pub mod driver;
 pub mod error;
 pub mod live;
 pub mod site;
@@ -39,6 +40,7 @@ pub use pv_protocol::{config, directory, ids, locks, messages, participant};
 pub use client::{Client, ClientConfig};
 pub use cluster::{Cluster, ClusterBuilder, Node};
 pub use crashpoint::{CrashPointConfig, CrashPointReport, Violation};
+pub use driver::{SiteDriver, Transport};
 pub use config::{CommitProtocol, EngineConfig, LockPolicy, UncertainOutputPolicy};
 pub use directory::Directory;
 pub use error::EngineError;

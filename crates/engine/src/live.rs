@@ -2,17 +2,17 @@
 //!
 //! The simulated world is where the paper's experiments run, but the same
 //! [`Site`] logic also deploys onto real threads: one OS thread per site,
-//! crossbeam channels as the network, a timer wheel per thread, and wall
-//! clock time. This is possible because sites are *sans-io* actors — every
-//! side effect goes through the [`pv_simnet::Ctx`] effect interface, which
-//! this module drives externally via [`pv_simnet::Ctx::external`].
-//!
-//! The live runtime supports crash/recover injection (the thread drops its
-//! volatile state and replays the WAL, exactly like the simulation) and
-//! shared metrics behind a `parking_lot` mutex.
+//! each a [`SiteDriver`] blocking on its inbox channel, with wall-clock
+//! time. This is possible because sites are *sans-io* actors — every side
+//! effect goes through the [`pv_simnet::Ctx`] effect interface, which the
+//! driver applies. This module adds only the in-process transport: channels
+//! between site threads, client reply channels, and the injected faults
+//! (crash/recover, cut links, message loss) with shared metrics behind a
+//! `parking_lot` mutex. A crashed site drops its volatile state and replays
+//! the WAL on recovery, exactly like the simulation.
 
-use crate::config::EngineConfig;
 use crate::directory::Directory;
+use crate::driver::{open_site, SiteDriver, Transport};
 use crate::error::EngineError;
 use crate::messages::{Msg, TxnResult};
 use crate::site::Site;
@@ -20,11 +20,11 @@ use crate::topology::Topology;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use pv_core::{ItemId, Value};
-use pv_simnet::{Actor, Ctx, Effect, Metrics, NodeId, SimRng, SimTime, Trace, TraceRecord, TraceSink};
-use pv_store::{DiskWal, FsyncPolicy, SiteId, SiteStore};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::path::PathBuf;
-use std::sync::Arc;
+use pv_simnet::{Actor, Metrics, NodeId, SimRng, Trace, TraceRecord, TraceSink};
+use pv_store::SiteId;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{mpsc, Arc};
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// The shared registry of client reply channels, keyed by client node id.
@@ -87,212 +87,83 @@ pub struct SiteSnapshot {
     pub quiescent: bool,
 }
 
-/// One pending timer in a site thread's wheel.
-struct PendingTimer {
-    due: Instant,
-    id: u64,
-    key: u64,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.id == other.id
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed so the heap pops the earliest timer.
-        other.due.cmp(&self.due).then(other.id.cmp(&self.id))
-    }
-}
-
-/// The per-thread driver translating [`Effect`]s into channels and timers.
-struct SiteThread {
-    site: Site,
+/// The in-process transport of one site thread: channels to the other site
+/// threads and to the clients, with the injected faults applied on send.
+struct Channels {
     me: NodeId,
-    inbox: Receiver<Envelope>,
-    peers: Vec<Sender<Envelope>>,
+    peers: Vec<mpsc::Sender<Envelope>>,
     clients: ClientRegistry,
     metrics: Arc<Mutex<Metrics>>,
-    trace: Arc<Mutex<Trace>>,
     links: Arc<Mutex<LiveLinks>>,
+    /// Loss draws (a stream of its own, apart from the site's).
     rng: SimRng,
-    next_timer_id: u64,
-    timers: BinaryHeap<PendingTimer>,
-    cancelled: BTreeSet<u64>,
-    epoch: Instant,
-    up: bool,
-    /// Whether the site opened a non-empty durable image and must replay
-    /// recovery (epoch bump, lock re-acquisition) before serving traffic.
-    recovered: bool,
 }
 
-impl SiteThread {
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_micros() as u64)
-    }
+impl Transport<Site> for Channels {
+    type Event = Envelope;
 
-    /// Runs one actor callback and applies its effects.
-    fn callback(&mut self, f: impl FnOnce(&mut Site, &mut Ctx<Msg>)) {
-        let mut metrics = self.metrics.lock();
-        let mut trace = self.trace.lock();
-        let mut ctx = Ctx::external(
-            self.now(),
-            self.me,
-            &mut self.rng,
-            &mut metrics,
-            &mut trace,
-            &mut self.next_timer_id,
-        );
-        f(&mut self.site, &mut ctx);
-        let effects = ctx.drain_effects();
-        drop(trace);
-        drop(metrics);
-        let now = self.now();
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => {
-                    // Replies route to client channels; everything else to
-                    // site inboxes. A send to a missing peer is dropped,
-                    // like a datagram.
-                    if let Msg::Reply { req_id, result } = msg {
-                        if let Some(tx) = self.clients.lock().get(&to.0) {
-                            let _ = tx.send((req_id, result));
-                        }
-                        continue;
-                    }
-                    // Injected network faults apply to site-to-site links
-                    // only (client replies above stay reliable, like the
-                    // simulation's loopback).
-                    if to != self.me {
-                        let (blocked, drop_prob) = {
-                            let links = self.links.lock();
-                            (
-                                links.blocked.contains(&LiveLinks::key(self.me.0, to.0)),
-                                links.drop_prob,
-                            )
-                        };
-                        if blocked {
-                            self.metrics.lock().inc("live.dropped_partition");
-                            continue;
-                        }
-                        if drop_prob > 0.0 && self.rng.chance(drop_prob) {
-                            self.metrics.lock().inc("live.dropped_loss");
-                            continue;
-                        }
-                    }
-                    if let Some(peer) = self.peers.get(to.0 as usize) {
-                        let _ = peer.send(Envelope::Deliver { from: self.me, msg });
-                    }
-                }
-                Effect::SetTimer { id, key, at } => {
-                    let delay =
-                        Duration::from_micros(at.as_micros().saturating_sub(now.as_micros()));
-                    self.timers.push(PendingTimer {
-                        due: Instant::now() + delay,
-                        id,
-                        key,
-                    });
-                }
-                Effect::CancelTimer(id) => {
-                    self.cancelled.insert(id);
-                }
+    fn send(&mut self, to: NodeId, msg: Msg) {
+        // Replies route to client channels; everything else to site
+        // inboxes. A send to a missing peer is dropped, like a datagram.
+        if let Msg::Reply { req_id, result } = msg {
+            if let Some(tx) = self.clients.lock().get(&to.0) {
+                let _ = tx.send((req_id, result));
             }
+            return;
+        }
+        // Injected network faults apply to site-to-site links only (client
+        // replies above stay reliable, like the simulation's loopback).
+        let (blocked, drop_prob) = {
+            let links = self.links.lock();
+            (links.blocked.contains(&LiveLinks::key(self.me.0, to.0)), links.drop_prob)
+        };
+        if blocked {
+            self.metrics.lock().inc("live.dropped_partition");
+        } else if drop_prob > 0.0 && self.rng.chance(drop_prob) {
+            self.metrics.lock().inc("live.dropped_loss");
+        } else if let Some(peer) = self.peers.get(to.0 as usize) {
+            let _ = peer.send(Envelope::Deliver { from: self.me, msg });
         }
     }
 
-    fn run(mut self) -> Site {
-        // A site rebuilt from a non-empty durable image replays recovery
-        // before touching any traffic: epoch bump, write-lock re-acquisition
-        // for staged transactions, and the inquiry timer.
-        if self.recovered {
-            self.callback(|site, ctx| site.on_recover(ctx));
-            self.metrics.lock().inc("live.cold_recoveries");
-        }
-        loop {
-            // Fire due timers (only while up; a crash voids the wheel).
-            while self.up {
-                match self.timers.peek() {
-                    Some(t) if t.due <= Instant::now() => {
-                        let t = self.timers.pop().expect("peeked");
-                        if self.cancelled.remove(&t.id) {
-                            continue;
-                        }
-                        let key = t.key;
-                        self.callback(|site, ctx| site.on_timer(ctx, key));
-                    }
-                    _ => break,
+    fn on_event(
+        &mut self,
+        driver: &mut SiteDriver<Site>,
+        event: Envelope,
+    ) -> Result<ControlFlow<()>, EngineError> {
+        match event {
+            // A crashed site drops traffic on the floor.
+            Envelope::Deliver { from, msg } => driver.deliver(self, from, msg),
+            Envelope::Crash => {
+                if driver.crash() {
+                    self.metrics.lock().inc("live.crashes");
                 }
             }
-            let wait = self
-                .timers
-                .peek()
-                .filter(|_| self.up)
-                .map(|t| t.due.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(50));
-            match self.inbox.recv_timeout(wait) {
-                Ok(Envelope::Deliver { from, msg }) => {
-                    if self.up {
-                        self.callback(|site, ctx| site.on_message(ctx, from, msg));
-                    }
-                    // A crashed site drops traffic on the floor.
-                }
-                Ok(Envelope::Crash) => {
-                    if self.up {
-                        self.up = false;
-                        self.timers.clear();
-                        self.cancelled.clear();
-                        self.site.on_crash();
-                        self.metrics.lock().inc("live.crashes");
-                    }
-                }
-                Ok(Envelope::Recover) => {
-                    if !self.up {
-                        self.up = true;
-                        self.callback(|site, ctx| site.on_recover(ctx));
-                        self.metrics.lock().inc("live.recoveries");
-                    }
-                }
-                Ok(Envelope::Inspect(reply)) => {
-                    let snapshot = SiteSnapshot {
-                        site: self.site.id(),
-                        up: self.up,
-                        poly_count: self.site.poly_count(),
-                        items: self
-                            .site
-                            .store()
-                            .iter_items()
-                            .map(|(i, e)| (i, e.clone()))
-                            .collect(),
-                        quiescent: self.site.is_quiescent(),
-                    };
-                    let _ = reply.send(snapshot);
-                }
-                Ok(Envelope::SnapshotRead { items, reply }) => {
-                    // A crashed site drops the request; the caller times out.
-                    if self.up {
-                        let mut out = None;
-                        self.callback(|site, ctx| out = Some(site.snapshot_read(ctx, &items)));
-                        let _ = reply.send(out.expect("callback ran"));
-                    }
-                }
-                Ok(Envelope::Stop) => {
-                    self.site.sync_store();
-                    return self.site;
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.site.sync_store();
-                    return self.site;
+            Envelope::Recover => {
+                if driver.recover(self) {
+                    self.metrics.lock().inc("live.recoveries");
                 }
             }
+            Envelope::Inspect(reply) => {
+                let site = driver.actor();
+                let _ = reply.send(SiteSnapshot {
+                    site: site.id(),
+                    up: driver.is_up(),
+                    poly_count: site.poly_count(),
+                    items: site.store().iter_items().map(|(i, e)| (i, e.clone())).collect(),
+                    quiescent: site.is_quiescent(),
+                });
+            }
+            // A crashed site drops the request; the caller times out.
+            Envelope::SnapshotRead { items, reply } if driver.is_up() => {
+                let mut out = None;
+                driver.callback(self, |site, ctx| out = Some(site.snapshot_read(ctx, &items)));
+                let _ = reply.send(out.expect("callback ran"));
+            }
+            Envelope::SnapshotRead { .. } => {}
+            Envelope::Stop => return Ok(ControlFlow::Break(())),
         }
+        Ok(ControlFlow::Continue(()))
     }
 }
 
@@ -300,10 +171,8 @@ impl SiteThread {
 ///
 /// The cluster shape lives in a [`Topology`] — the configuration type shared
 /// with the simulation and the `pv-net` socket runtime — so the preferred
-/// entry point is [`LiveCluster::from_topology`]. This builder remains for
-/// what only the live runtime has (streaming trace sinks) and as the
-/// [`LiveCluster::builder`] compatibility surface; its duplicate
-/// configuration setters are deprecated in favour of the topology's.
+/// entry point is [`LiveCluster::from_topology`]. This builder adds only
+/// what the live runtime alone has: streaming trace sinks.
 pub struct LiveBuilder {
     topo: Topology,
     trace: Option<Trace>,
@@ -313,72 +182,6 @@ impl LiveBuilder {
     /// Starts a builder over an existing cluster description.
     pub fn from_topology(topo: Topology) -> Self {
         LiveBuilder { topo, trace: None }
-    }
-
-    /// Sets the engine configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set it on the shared configuration: `Topology::engine` \
-                (then `LiveCluster::from_topology`)"
-    )]
-    pub fn engine(mut self, config: impl Into<EngineConfig>) -> Self {
-        self.topo = self.topo.engine(config);
-        self
-    }
-
-    /// Seeds an initial item value (placed by the directory).
-    #[deprecated(
-        since = "0.1.0",
-        note = "set it on the shared configuration: `Topology::item` \
-                (then `LiveCluster::from_topology`)"
-    )]
-    pub fn item(mut self, item: impl Into<ItemId>, value: impl Into<Value>) -> Self {
-        self.topo = self.topo.item(item, value);
-        self
-    }
-
-    /// Seeds many items at once.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set it on the shared configuration: `Topology::items` \
-                (then `LiveCluster::from_topology`)"
-    )]
-    pub fn items(mut self, items: impl IntoIterator<Item = (ItemId, Value)>) -> Self {
-        self.topo = self.topo.items(items);
-        self
-    }
-
-    /// Turns on the static submit gate.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set it on the shared configuration: `Topology::static_checks` \
-                (then `LiveCluster::from_topology`)"
-    )]
-    pub fn static_checks(mut self) -> Self {
-        self.topo.engine.static_checks = true;
-        self
-    }
-
-    /// Persists each site's WAL under `<dir>/site-<s>`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set it on the shared configuration: `Topology::data_dir` \
-                (then `LiveCluster::from_topology`)"
-    )]
-    pub fn data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.topo = self.topo.data_dir(dir);
-        self
-    }
-
-    /// Sets the fsync policy of disk-backed sites.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set it on the shared configuration: `Topology::fsync_policy` \
-                (then `LiveCluster::from_topology`)"
-    )]
-    pub fn fsync_policy(mut self, policy: FsyncPolicy) -> Self {
-        self.topo = self.topo.fsync_policy(policy);
-        self
     }
 
     /// Buffers a full protocol trace, readable via
@@ -417,15 +220,7 @@ impl LiveBuilder {
             None if self.topo.collect_trace => Trace::collecting(),
             None => Trace::default(),
         };
-        LiveCluster::spawn(
-            self.topo.sites,
-            self.topo.directory,
-            self.topo.engine,
-            self.topo.items,
-            trace,
-            self.topo.data_dir,
-            self.topo.fsync_policy,
-        )
+        LiveCluster::spawn(&self.topo, trace)
     }
 }
 
@@ -452,7 +247,7 @@ impl LiveBuilder {
 /// cluster.shutdown();
 /// ```
 pub struct LiveCluster {
-    senders: Vec<Sender<Envelope>>,
+    senders: Vec<mpsc::Sender<Envelope>>,
     handles: Vec<std::thread::JoinHandle<Site>>,
     clients: ClientRegistry,
     metrics: Arc<Mutex<Metrics>>,
@@ -478,79 +273,50 @@ impl LiveCluster {
         LiveBuilder::from_topology(topo).try_start()
     }
 
-    fn spawn(
-        sites: u32,
-        directory: Directory,
-        config: EngineConfig,
-        items: Vec<(ItemId, Value)>,
-        trace: Trace,
-        data_dir: Option<PathBuf>,
-        fsync_policy: FsyncPolicy,
-    ) -> Result<Self, EngineError> {
+    fn spawn(topo: &Topology, trace: Trace) -> Result<Self, EngineError> {
+        let sites = topo.sites;
         assert!(sites > 0);
-        let static_checks = config.static_checks;
         let metrics = Arc::new(Mutex::new(Metrics::new()));
         let trace = Arc::new(Mutex::new(trace));
         let clients = Arc::new(Mutex::new(BTreeMap::new()));
         let links = Arc::new(Mutex::new(LiveLinks::default()));
         let epoch = Instant::now();
-        let mut senders = Vec::with_capacity(sites as usize);
-        let mut inboxes = Vec::with_capacity(sites as usize);
-        for _ in 0..sites {
-            let (tx, rx) = channel::unbounded();
-            senders.push(tx);
-            inboxes.push(rx);
-        }
+        let (senders, inboxes): (Vec<_>, Vec<_>) = (0..sites).map(|_| mpsc::channel()).unzip();
         let mut handles = Vec::with_capacity(sites as usize);
-        for (s, inbox) in inboxes.into_iter().enumerate() {
-            let store = match &data_dir {
-                Some(dir) => {
-                    let path = dir.join(format!("site-{s}"));
-                    let wal = DiskWal::open(&path, fsync_policy).map_err(|e| {
-                        EngineError::Io(format!("open WAL at {}: {e}", path.display()))
-                    })?;
-                    let mut store = SiteStore::open(Box::new(wal));
-                    // Mirror keyspace runs beside the WAL (derived state;
-                    // the WAL stays the authoritative log).
-                    store.attach_keyspace_dir(&path);
-                    store
-                }
-                None => SiteStore::new(),
-            };
-            let recovered = !store.wal().is_empty();
-            let mut site =
-                Site::with_store(s as SiteId, config.clone(), directory.clone(), store);
-            site.enable_wall_clock_metrics();
-            for (item, value) in &items {
-                if directory.site_of(*item) == Some(s as SiteId)
-                    && !site.store().contains(*item)
-                {
-                    site.seed_item(*item, value.clone());
-                }
-            }
-            // Initial population is durable before the site serves traffic.
-            site.sync_store();
-            let thread = SiteThread {
-                site,
-                me: NodeId(s as u32),
-                inbox,
+        for (s, inbox) in (0..sites).zip(inboxes) {
+            let (site, recovered) = open_site(topo, s)?;
+            let me = NodeId(s);
+            let mut net = Channels {
+                me,
                 peers: senders.clone(),
                 clients: Arc::clone(&clients),
                 metrics: Arc::clone(&metrics),
-                trace: Arc::clone(&trace),
                 links: Arc::clone(&links),
-                rng: SimRng::new(0xC0FFEE + s as u64),
-                next_timer_id: 0,
-                timers: BinaryHeap::new(),
-                cancelled: BTreeSet::new(),
-                epoch,
-                up: true,
-                recovered,
+                rng: SimRng::new(0x1055 + u64::from(s)),
+            };
+            let seed = 0xC0FFEE + u64::from(s);
+            let mut driver =
+                SiteDriver::new(site, me, seed, Arc::clone(&metrics), Arc::clone(&trace), epoch);
+            let run = move || {
+                // A site rebuilt from a non-empty durable image replays
+                // recovery before touching any traffic: epoch bump,
+                // write-lock re-acquisition for staged transactions, and the
+                // inquiry timer.
+                if recovered {
+                    driver.callback(&mut net, |site, ctx| site.on_recover(ctx));
+                    net.metrics.lock().inc("live.cold_recoveries");
+                }
+                let shared = Mutex::new(Some((driver, net)));
+                SiteDriver::serve(&shared, &inbox).expect("channels never fail");
+                let (driver, _) = shared.into_inner().expect("served drivers stay");
+                let mut site = driver.into_actor();
+                site.sync_store();
+                site
             };
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("pv-site-{s}"))
-                    .spawn(move || thread.run())
+                    .spawn(run)
                     .expect("spawn site thread"),
             );
         }
@@ -568,7 +334,7 @@ impl LiveCluster {
             client_rx,
             client_node,
             next_req: Mutex::new(1),
-            static_checks,
+            static_checks: topo.engine.static_checks,
         })
     }
 
@@ -614,7 +380,7 @@ impl LiveCluster {
         }
     }
 
-    fn sender(&self, site: SiteId) -> Result<&Sender<Envelope>, EngineError> {
+    fn sender(&self, site: SiteId) -> Result<&mpsc::Sender<Envelope>, EngineError> {
         self.senders
             .get(site as usize)
             .ok_or(EngineError::UnknownSite(site))
@@ -741,7 +507,7 @@ impl LiveCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CommitProtocol;
+    use crate::config::{CommitProtocol, EngineConfig};
     use pv_core::{Entry, Expr, TransactionSpec};
     use pv_simnet::SimDuration;
 

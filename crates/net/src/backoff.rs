@@ -3,8 +3,8 @@
 //!
 //! The original runtime retried a dead peer on a fixed cadence
 //! (`RetryBudget`: N attempts, fixed delay) and retried *synchronously*,
-//! stalling the whole event loop while a peer was down. This module is the
-//! policy half of the fix (the event-loop half lives in
+//! stalling the whole site while a peer was down. This module is the
+//! policy half of the fix (the dialer threads live in
 //! [`node`](crate::node)):
 //!
 //! * [`Backoff`] — how long to wait before attempt `k`: exponential growth

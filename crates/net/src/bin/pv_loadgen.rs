@@ -458,6 +458,9 @@ fn run_main(args: Args) -> Result<(), EngineError> {
     json.push_str(
         "  \"invocation\": \"cargo run --release -p pv-net --bin pv-loadgen -- --sweep\",\n",
     );
+    // Latency depends on how many cores the sites and clients share.
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    json.push_str(&format!("  \"host_cores\": {cores},\n"));
     json.push_str("  \"benches\": [\n");
     let mut first = true;
 

@@ -1,12 +1,12 @@
 //! An in-process networked cluster: every site node runs its real socket
-//! event loop on its own thread, over real localhost TCP.
+//! driver on its own thread, over real localhost TCP.
 //!
 //! This is the third consumer of the shared [`Topology`] — after
 //! `ClusterBuilder::from_topology` (simulation) and
 //! `LiveCluster::from_topology` (threads + channels) — and the test/bench
-//! harness for the `pv-node` binary's event loop: identical [`Node`] code,
+//! harness for the `pv-node` binary's site driver: identical [`Node`] code,
 //! just hosted on threads instead of separate processes, so integration
-//! tests exercise the full wire path (codec, Hello routing, backpressure,
+//! tests exercise the full wire path (codec, Hello routing, reader threads,
 //! reconnects) without process management. With [`NetBuilder::chaos`] the
 //! site links additionally route through a fault-injecting [`ChaosNet`]
 //! proxy, which is how the partition/heal and fault-soak tests run a real
@@ -68,7 +68,7 @@ impl NetBuilder {
     }
 
     /// Binds every site on a loopback port, wires the peer tables (through
-    /// chaos proxies when enabled), and spawns one event-loop thread per
+    /// chaos proxies when enabled), and spawns one driver thread per
     /// site.
     pub fn start(self) -> Result<NetCluster, EngineError> {
         let sites = self.topo.sites;
@@ -115,7 +115,7 @@ impl NetBuilder {
     }
 }
 
-/// A running socket cluster (one event-loop thread per site, real TCP).
+/// A running socket cluster (one driver thread per site, real TCP).
 pub struct NetCluster {
     addrs: Vec<SocketAddr>,
     handles: Vec<std::thread::JoinHandle<Result<Site, EngineError>>>,
@@ -258,7 +258,7 @@ impl NetCluster {
         Ok(())
     }
 
-    /// Sends every site a shutdown frame and joins the event-loop threads,
+    /// Sends every site a shutdown frame and joins the driver threads,
     /// returning the final [`Site`] states.
     pub fn shutdown(self) -> Result<Vec<Site>, EngineError> {
         {

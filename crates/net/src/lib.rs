@@ -8,13 +8,14 @@
 //!   encoding of values/conditions/entries is shared with the WAL codec
 //!   ([`pv_store::codec`]); this module adds framing and the protocol-level
 //!   message vocabulary.
-//! * [`node`] — the site process: a non-blocking event loop (accept, read,
-//!   decode, engine callback, write-backpressure flush) with a wall-clock
-//!   timer wheel and deadline-driven peer dialing governed by [`backoff`].
+//! * [`node`] — the site process: the engine's blocking `SiteDriver` over
+//!   a socket transport (an acceptor, one reader thread per connection,
+//!   dialer threads) with deadline-driven peer dialing governed by
+//!   [`backoff`].
 //! * [`backoff`] — the jittered-exponential [`Backoff`] policy and the
 //!   per-peer [`Circuit`] breaker that pace every dial and reconnect.
 //! * [`client`] — a blocking client connection with pipelined submission.
-//! * [`cluster`] — [`NetCluster`]: every node's event loop hosted on an
+//! * [`cluster`] — [`NetCluster`]: every node's site driver hosted on an
 //!   in-process thread over real localhost TCP, consuming the same
 //!   [`pv_engine::Topology`] as the other two runtimes.
 //! * [`chaos`] — a fault-injecting TCP proxy ([`ChaosNet`]) that sits on

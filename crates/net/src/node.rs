@@ -1,167 +1,100 @@
-//! The site node: a single-process, single-threaded socket event loop
-//! driving one [`pv_engine::Site`].
+//! The site node: one [`pv_engine::Site`] serving real TCP.
 //!
-//! This is the third deployment of the identical sans-IO
-//! `pv_protocol::SiteMachine` — after the deterministic simulation and the
-//! thread-per-site live runtime — and it reuses the engine's driver contract
-//! verbatim: every callback runs under [`pv_simnet::Ctx::external`], effects
-//! apply in emission order, `NeedCoin` is answered locally inside
-//! [`Site::drive`](pv_engine::Site), and the storage-metrics flush rides the
-//! same hooks. What this module adds is real I/O: a non-blocking
-//! `std::net` readiness loop (accept, read, decode, write-backpressure
-//! flush), a wall-clock timer wheel feeding `on_timer`, and
-//! **deadline-driven peer dialing**: connection attempts run on detached
-//! dialer threads and report back through a channel, so the event loop keeps
-//! serving live peers and clients while an unreachable peer is being
-//! retried. Retries are governed by a per-peer [`Circuit`] breaker under a
-//! jittered-exponential [`Backoff`] policy — a peer that stays dead walks
-//! Closed → Open → HalfOpen with growing pauses (never a hot loop), and a
-//! peer that stays unreachable past the policy's attempt budget is a
-//! structured [`EngineError::Unreachable`], never a hang. Messages bound for
-//! a down peer queue (bounded) and flush on reconnect; the §3.3 inquiry
-//! protocol absorbs anything the bound drops.
+//! The third deployment of the sans-IO `pv_protocol::SiteMachine`, after
+//! the simulation and the live runtime, and on the live runtime's
+//! [`SiteDriver`]: the driver owns the site, its timers and the effect
+//! dispatch. This module adds the socket [`Transport`] and the threads
+//! around it: the **driver thread**, which fires timers, runs housekeeping
+//! and blocks on one inbox; an **acceptor** that starts a **reader** per
+//! inbound connection; and a **dialer** per peer link that connects off the
+//! driver thread, reports the result, and then reads that connection for
+//! EOF (peers never send on a dialed link).
 //!
-//! The loop polls with a short sleep rather than an OS readiness API: the
-//! workspace is hermetic (no `mio`/`libc`), and at cluster sizes of tens of
-//! sockets a sub-millisecond poll is indistinguishable from epoll for the
-//! paper's workloads. When nothing is happening the poll tick decays
-//! exponentially (200 µs → 10 ms) toward the next timer deadline, so an
-//! idle site wakes tens of times per second instead of thousands
-//! (`net.idle_wakeups` counts them).
+//! The site sits behind one lock. A client's reader applies each frame it
+//! decodes itself, under that lock, and writes the reply: a request costs
+//! one thread hop, not two. A site connection's reader puts its frames into
+//! the inbox and never waits for the lock.
+//!
+//! Every frame is written whole, blocking, by the thread that holds the
+//! site. Two sites cannot deadlock: a site connection's reader always
+//! drains its socket into the inbox, so every write to a peer completes. A
+//! client that stops reading, or a reply that cannot be encoded (an
+//! oversized inspect, metrics or snapshot-read answer), costs only its own
+//! connection; the write timeout bounds the stall. Dials are paced per peer
+//! by a [`Circuit`] under a jittered-exponential [`Backoff`]; a peer
+//! unreachable past the attempt budget is a structured
+//! [`EngineError::Unreachable`], never a hang. Messages for a down peer
+//! queue (bounded) and flush on reconnect. When [`Node::run`] returns,
+//! every helper thread ends.
 
 use crate::backoff::{Backoff, Circuit, CircuitVerdict};
-use crate::wire::{
-    decode_frame, encode_frame, Frame, NodeSnapshot, PeerKind, WireMetrics, MAX_FRAME_LEN,
-};
+use crate::wire::{decode_frame, encode_frame, Frame, NodeSnapshot, PeerKind, WireMetrics};
+use bytes::BytesMut;
+use parking_lot::Mutex;
+use pv_engine::driver::{open_site, Shared, SiteDriver, Transport};
 use pv_engine::messages::Msg;
 use pv_engine::topology::Topology;
 use pv_engine::{EngineError, Site};
-use pv_simnet::{Actor, Ctx, Effect, Metrics, NodeId, SimRng, SimTime, Trace};
-use pv_store::{DiskWal, SiteId, SiteStore};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc;
+use pv_simnet::{Actor, Metrics, NodeId, Trace};
+use pv_store::SiteId;
+use std::collections::{BTreeMap, VecDeque};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
+/// Housekeeping period: circuit upkeep and dial probes run at least this
+/// often, and an idle node wakes this often (`net.idle_wakeups`).
+const TICK: Duration = Duration::from_millis(10);
 
-/// Floor of the idle poll tick (and the tick used while traffic flows).
-const IDLE_MIN: Duration = Duration::from_micros(200);
+/// How long one blocking frame write may take before its connection is
+/// given up.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Ceiling the idle tick decays to while nothing is happening.
-const IDLE_MAX: Duration = Duration::from_millis(10);
+/// Stack of the reader and dialer threads: a client's reader decodes and
+/// evaluates expressions nested to the wire's depth limit, so it gets the
+/// stack std gives any spawned thread.
+const IO_STACK: usize = 2 * 1024 * 1024;
+
+/// Bytes requested from the socket per read.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Most protocol messages held for a down peer before the oldest drop.
 /// The §3.1 timers and §3.3 inquiries re-drive anything lost.
 const PENDING_CAP: usize = 4096;
 
-/// One pending timer in the node's wheel (earliest-due pops first).
-struct PendingTimer {
-    due: Instant,
-    id: u64,
-    key: u64,
+/// What the helper threads put into the driver's inbox.
+enum Event {
+    /// The reader of a site connection decoded one frame.
+    Frame { conn: u64, frame: Frame },
+    /// A client reader's callback stopped the node, or armed a timer due
+    /// before the driver thread's current wait ends.
+    Wake,
+    /// A reader stopped: EOF, a socket error or a malformed frame.
+    Closed { conn: u64 },
+    /// The dialer of peer link `peer` connected, or failed to.
+    Dialed {
+        peer: usize,
+        result: io::Result<Conn>,
+    },
+    /// The connection the dialer of `peer` made has closed; the dialer has
+    /// ended.
+    PeerLost { peer: usize },
+    /// The listener failed for good.
+    ListenerFailed(io::Error),
 }
 
-impl PartialEq for PendingTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.id == other.id
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due).then(other.id.cmp(&self.id))
-    }
-}
+/// The driver's half of one connection. Dropping it shuts the socket down
+/// both ways, which ends the thread reading the other half, also when the
+/// event carrying it is dropped unread.
+struct Conn(TcpStream);
 
-/// One live connection with read/write buffering. Writes that the socket
-/// will not take immediately stay queued in `wbuf` and drain as the peer
-/// reads — backpressure without blocking the loop.
-struct Conn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        Ok(Conn {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            dead: false,
-        })
-    }
-
-    /// Encodes `frame` onto the write queue and pushes what the socket
-    /// accepts right away.
-    fn queue(&mut self, frame: &Frame) -> Result<(), EngineError> {
-        let mut out = BytesMut::new();
-        encode_frame(frame, &mut out)?;
-        self.wbuf.extend_from_slice(&out);
-        self.flush();
-        Ok(())
-    }
-
-    /// Writes as much queued output as the socket accepts.
-    fn flush(&mut self) {
-        while !self.wbuf.is_empty() && !self.dead {
-            match self.stream.write(&self.wbuf) {
-                Ok(0) => {
-                    self.dead = true;
-                }
-                Ok(n) => {
-                    self.wbuf.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                }
-            }
-        }
-    }
-
-    /// Reads everything currently available; returns whether any bytes
-    /// arrived. EOF or a socket error marks the connection dead (already
-    /// buffered frames still parse).
-    fn fill(&mut self) -> bool {
-        let mut any = false;
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                    any = true;
-                    // Refuse unbounded buffering from a peer that floods
-                    // garbage faster than we parse.
-                    if self.rbuf.len() > 2 * MAX_FRAME_LEN as usize {
-                        self.dead = true;
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        any
+impl Drop for Conn {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
     }
 }
 
@@ -169,19 +102,18 @@ impl Conn {
 struct PeerLink {
     addr: Option<SocketAddr>,
     conn: Option<Conn>,
-    /// Channel from an in-flight dialer thread, if one is out.
-    dial: Option<mpsc::Receiver<std::io::Result<TcpStream>>>,
+    /// Whether this link's dialer thread is still out: connecting, or
+    /// reading its connection for EOF. At most one is out per link.
+    dialer: bool,
     circuit: Circuit,
     /// When the current connection was established (stability window: the
     /// circuit only re-closes after the link survives a while, so a
     /// flapping peer keeps walking up the backoff curve).
     connected_at: Option<Instant>,
-    /// Messages awaiting reconnect (bounded by [`PENDING_CAP`]).
+    /// Messages awaiting reconnect (bounded by [`PENDING_CAP`]). The link
+    /// redials even with none queued: a cluster eagerly re-forms itself
+    /// after a partition heals instead of waiting for traffic.
     pending: VecDeque<Msg>,
-    /// Whether this link should be connected even without queued traffic.
-    /// Always true for peer sites: a cluster eagerly re-forms itself after
-    /// a partition heals instead of waiting for traffic.
-    want: bool,
     ever_connected: bool,
     last_err: String,
 }
@@ -191,11 +123,10 @@ impl PeerLink {
         PeerLink {
             addr: None,
             conn: None,
-            dial: None,
+            dialer: false,
             circuit: Circuit::new(policy, salt),
             connected_at: None,
             pending: VecDeque::new(),
-            want: false,
             ever_connected: false,
             last_err: String::new(),
         }
@@ -228,28 +159,12 @@ pub struct NodeConfig {
 /// 3. [`Node::run`] — dial peers and serve until a `Shutdown` frame.
 pub struct Node {
     me: NodeId,
-    sites: u32,
     listener: TcpListener,
     backoff: Backoff,
     site: Site,
     recovered: bool,
-    metrics: Metrics,
-    trace: Trace,
-    rng: SimRng,
-    next_timer_id: u64,
-    timers: BinaryHeap<PendingTimer>,
-    cancelled: BTreeSet<u64>,
-    epoch: Instant,
     /// Outbound site→site links, indexed by peer site id.
     peers: Vec<PeerLink>,
-    /// Inbound connections (slab; indices stay stable, dead slots are None).
-    conns: Vec<Option<Conn>>,
-    /// Reply routing: node id (from `Hello`) → inbound conn slot.
-    routes: BTreeMap<u32, usize>,
-    /// Messages a site sends to itself, applied in order within the loop.
-    loopback: VecDeque<Msg>,
-    /// Current idle poll tick (decays toward [`IDLE_MAX`] while idle).
-    idle_tick: Duration,
 }
 
 impl Node {
@@ -258,7 +173,11 @@ impl Node {
     /// `data_dir/site-<s>` when the topology has a data dir, recovery from a
     /// non-empty image, seeded items durable before serving.
     pub fn bind(config: NodeConfig, listen: SocketAddr) -> Result<Node, EngineError> {
-        let NodeConfig { site: s, topo, backoff } = config;
+        let NodeConfig {
+            site: s,
+            topo,
+            backoff,
+        } = config;
         if s >= topo.sites {
             return Err(EngineError::UnknownSite(s));
         }
@@ -269,54 +188,17 @@ impl Node {
             .unwrap_or(backoff);
         let listener = TcpListener::bind(listen)
             .map_err(|e| EngineError::Io(format!("bind {listen}: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| EngineError::Io(format!("set_nonblocking: {e}")))?;
-        let store = match &topo.data_dir {
-            Some(dir) => {
-                let path = dir.join(format!("site-{s}"));
-                let wal = DiskWal::open(&path, topo.fsync_policy).map_err(|e| {
-                    EngineError::Io(format!("open WAL at {}: {e}", path.display()))
-                })?;
-                let mut store = SiteStore::open(Box::new(wal));
-                // Mirror keyspace runs beside the WAL (derived state; the
-                // WAL stays the authoritative log).
-                store.attach_keyspace_dir(&path);
-                store
-            }
-            None => SiteStore::new(),
-        };
-        let recovered = !store.wal().is_empty();
-        let mut site = Site::with_store(s, topo.engine.clone(), topo.directory.clone(), store);
-        site.enable_wall_clock_metrics();
-        for (item, value) in &topo.items {
-            if topo.directory.site_of(*item) == Some(s) && !site.store().contains(*item) {
-                site.seed_item(*item, value.clone());
-            }
-        }
-        site.sync_store();
+        let (site, recovered) = open_site(&topo, s)?;
         let peers = (0..topo.sites)
             .map(|p| PeerLink::unused(backoff, peer_salt(s, p)))
             .collect();
         Ok(Node {
             me: NodeId(s),
-            sites: topo.sites,
             listener,
             backoff,
             site,
             recovered,
-            metrics: Metrics::new(),
-            trace: Trace::default(),
-            rng: SimRng::new(0xBEEF_0000 + u64::from(s)),
-            next_timer_id: 0,
-            timers: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
-            epoch: Instant::now(),
             peers,
-            conns: Vec::new(),
-            routes: BTreeMap::new(),
-            loopback: VecDeque::new(),
-            idle_tick: IDLE_MIN,
         })
     }
 
@@ -329,262 +211,145 @@ impl Node {
 
     /// Provides the full site address table (index = site id). Must be
     /// called before [`Node::run`]. The entry for this site itself is
-    /// ignored (self-sends use the in-process loopback queue), so the table
-    /// may point at chaos proxies while the node listens on its real
-    /// address.
+    /// ignored (self-sends never leave the driver), so the table may point
+    /// at chaos proxies while the node listens on its real address.
     pub fn set_peers(&mut self, addrs: Vec<SocketAddr>) {
-        for (p, addr) in addrs.into_iter().enumerate() {
-            if let Some(link) = self.peers.get_mut(p) {
-                link.addr = Some(addr);
-                link.want = p as u32 != self.me.0;
-            }
+        for (link, addr) in self.peers.iter_mut().zip(addrs) {
+            link.addr = Some(addr);
         }
     }
 
-    /// The active dial/reconnect policy.
-    pub fn backoff(&self) -> Backoff {
-        self.backoff
+    /// Serves until a `Shutdown` frame arrives (returning the final
+    /// [`Site`], its store synced) or a fatal error occurs: listener
+    /// failure, or a peer site unreachable past the backoff policy's attempt
+    /// budget. Either way every helper thread ends.
+    pub fn run(self) -> Result<Site, EngineError> {
+        let me = self.me.0 as usize;
+        if let Some(p) = (0..self.peers.len()).find(|&p| p != me && self.peers[p].addr.is_none()) {
+            return Err(EngineError::Io(format!(
+                "peer table has no address for site {p}"
+            )));
+        }
+        // Connecting to the listener's own address (an unspecified one
+        // reaches this host) is how the acceptor is woken to stop.
+        let wake = self.local_addr()?;
+        let (tx, inbox) = mpsc::channel();
+        let stop = Arc::new(AtomicBool::new(false));
+        let metrics = Arc::new(Mutex::new(Metrics::new()));
+        let mut net = Sockets {
+            me: self.me,
+            backoff: self.backoff,
+            peers: self.peers,
+            conns: BTreeMap::new(),
+            routes: BTreeMap::new(),
+            inbox: tx.clone(),
+            metrics: Arc::clone(&metrics),
+            out: BytesMut::new(),
+            acceptor: (Arc::clone(&stop), wake),
+        };
+        let trace = Arc::new(Mutex::new(Trace::default()));
+        let seed = 0xBEEF_0000 + u64::from(self.me.0);
+        let mut driver = SiteDriver::new(self.site, self.me, seed, metrics, trace, Instant::now());
+        if self.recovered {
+            driver.callback(&mut net, |site, ctx| site.on_recover(ctx));
+            net.metrics.lock().inc("net.cold_recoveries");
+        }
+        let shared = Arc::new(Mutex::new(Some((driver, net))));
+        let (listener, node) = (self.listener, Arc::clone(&shared));
+        let acceptor = spawn_io(format!("pv-accept-{}", self.me.0), move || {
+            accept_loop(listener, node, tx, stop)
+        });
+        let result = acceptor.and_then(|()| SiteDriver::serve(&shared, &inbox));
+        let (driver, net) = shared.lock().take().expect("taken only here");
+        result?;
+        let mut site = driver.into_actor();
+        site.sync_store();
+        // `net` drops after the sync: whoever sees this node's sockets close
+        // finds its store synced.
+        drop(net);
+        Ok(site)
+    }
+}
+
+/// The socket transport of one node: the outbound peer links, the inbound
+/// connections and the reply routes.
+struct Sockets {
+    me: NodeId,
+    backoff: Backoff,
+    peers: Vec<PeerLink>,
+    /// Inbound connections by the id the acceptor gave them.
+    conns: BTreeMap<u64, Conn>,
+    /// Reply routing: node id (from `Hello`) → inbound connection id.
+    routes: BTreeMap<u32, u64>,
+    /// The inbox, for the dialer threads this transport starts.
+    inbox: Sender<Event>,
+    metrics: Arc<Mutex<Metrics>>,
+    /// Reused encode buffer.
+    out: BytesMut,
+    /// The acceptor's stop flag, and where to connect to wake it.
+    acceptor: (Arc<AtomicBool>, SocketAddr),
+}
+
+impl Drop for Sockets {
+    /// Ends the helper threads: dropping the connections ends their readers
+    /// and dialers; the acceptor sees its flag once a connection wakes it.
+    fn drop(&mut self) {
+        self.acceptor.0.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.acceptor.1, Duration::from_secs(1));
+    }
+}
+
+impl Sockets {
+    /// Sends `frame` on inbound connection `conn`, closing it on failure.
+    fn reply(&mut self, conn: u64, frame: &Frame) {
+        let Some(c) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        if !write_frame(&mut self.out, &self.metrics, &mut c.0, frame) {
+            self.close(conn);
+        }
     }
 
-    /// Swaps the dial/reconnect policy live (also reachable over the wire
-    /// via the `ConfigBackoff` control frame). Connection state carries
-    /// over; only future backoff decisions change.
-    pub fn set_backoff(&mut self, policy: Backoff) {
-        self.backoff = policy;
-        for link in &mut self.peers {
-            link.circuit.set_policy(policy);
-        }
+    /// Forgets inbound connection `conn` (dropping it ends its reader).
+    fn close(&mut self, conn: u64) {
+        self.conns.remove(&conn);
+        self.routes.retain(|_, c| *c != conn);
+        self.metrics.lock().inc("net.conn_closed");
     }
 
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    /// Runs one engine callback and applies its effects in emission order —
-    /// identical contract to the live runtime's driver.
-    fn callback(
-        &mut self,
-        f: impl FnOnce(&mut Site, &mut Ctx<Msg>),
-    ) -> Result<(), EngineError> {
-        let mut ctx = Ctx::external(
-            self.now(),
-            self.me,
-            &mut self.rng,
-            &mut self.metrics,
-            &mut self.trace,
-            &mut self.next_timer_id,
-        );
-        f(&mut self.site, &mut ctx);
-        let effects = ctx.drain_effects();
-        let now = self.now();
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => self.send(to, msg)?,
-                Effect::SetTimer { id, key, at } => {
-                    let delay =
-                        Duration::from_micros(at.as_micros().saturating_sub(now.as_micros()));
-                    self.timers.push(PendingTimer {
-                        due: Instant::now() + delay,
-                        id,
-                        key,
-                    });
-                }
-                Effect::CancelTimer(id) => {
-                    self.cancelled.insert(id);
-                }
-            }
+    /// Writes `msg` on peer link `p` if it is connected. A failed write
+    /// drops the connection: its dialer then sees EOF and reports the loss.
+    /// The message is lost; the protocol's timers re-drive it.
+    fn write_peer(&mut self, p: usize, msg: Msg) {
+        let link = &mut self.peers[p];
+        let Some(conn) = &mut link.conn else {
+            return;
+        };
+        let frame = Frame::Proto {
+            from: self.me.0,
+            msg,
+        };
+        if !write_frame(&mut self.out, &self.metrics, &mut conn.0, &frame) {
+            link.conn = None;
         }
-        Ok(())
-    }
-
-    /// Routes one outgoing message: loopback to self, a peer-site link, or a
-    /// client connection (by the node id its `Hello` registered). A missing
-    /// client route drops the message like a datagram — the protocol's
-    /// timers and inquiries already tolerate loss. A message for a peer site
-    /// that is currently down queues (bounded) for delivery on reconnect;
-    /// the reconnect itself is governed by the peer's circuit breaker and
-    /// never blocks this loop.
-    fn send(&mut self, to: NodeId, msg: Msg) -> Result<(), EngineError> {
-        if to == self.me {
-            self.loopback.push_back(msg);
-            return Ok(());
-        }
-        if to.0 < self.sites {
-            let link = &mut self.peers[to.0 as usize];
-            if let Some(conn) = link.conn.as_mut() {
-                if !conn.dead {
-                    conn.queue(&Frame::Proto {
-                        from: self.me.0,
-                        msg,
-                    })?;
-                    return Ok(());
-                }
-            }
-            if link.pending.len() >= PENDING_CAP {
-                link.pending.pop_front();
-                self.metrics.inc("net.dropped_peer_down");
-            }
-            link.pending.push_back(msg);
-            return Ok(());
-        }
-        if let Some(&slot) = self.routes.get(&to.0) {
-            if let Some(conn) = self.conns[slot].as_mut() {
-                conn.queue(&Frame::Proto {
-                    from: self.me.0,
-                    msg,
-                })?;
-                return Ok(());
-            }
-        }
-        self.metrics.inc("net.dropped_no_route");
-        Ok(())
-    }
-
-    /// Drains the self-send queue (a site messaging itself must see those
-    /// messages in order, before any socket traffic).
-    fn drain_loopback(&mut self) -> Result<(), EngineError> {
-        while let Some(msg) = self.loopback.pop_front() {
-            let me = self.me;
-            self.callback(|site, ctx| site.on_message(ctx, me, msg))?;
-        }
-        Ok(())
-    }
-
-    /// Advances every peer link one step: reap dead connections, collect
-    /// dial results, promote links that survived the stability window, and
-    /// launch new circuit-gated dial probes. Never blocks; a peer whose
-    /// circuit exhausts its budget is a fatal structured `Unreachable`.
-    fn pump_peers(&mut self) -> Result<bool, EngineError> {
-        let mut progress = false;
-        let now = Instant::now();
-        // The circuit re-closes only once a connection has stayed up this
-        // long, so a link that flaps (accept-then-kill partitions) keeps
-        // climbing the backoff curve instead of hot-cycling at dial speed.
-        let stability = self.backoff.base.max(Duration::from_millis(250));
-        for p in 0..self.peers.len() {
-            if p as u32 == self.me.0 {
-                continue;
-            }
-            // 1. Reap a connection that died.
-            if matches!(&self.peers[p].conn, Some(c) if c.dead) {
-                let link = &mut self.peers[p];
-                link.conn = None;
-                link.connected_at = None;
-                link.last_err = "connection closed by peer".into();
-                self.metrics.inc("net.peer_conn_lost");
-                self.fail_link(p, now)?;
-                progress = true;
-            }
-            // 2. A healthy connection that outlived the stability window
-            //    re-closes the circuit (resets the failure count).
-            let link = &mut self.peers[p];
-            if let Some(t) = link.connected_at {
-                if link.circuit.failures() > 0 && now.duration_since(t) >= stability {
-                    link.circuit.on_success();
-                    self.metrics.inc("net.circuit_reclosed");
-                }
-            }
-            // 3. Collect an in-flight dial result.
-            let mut dial_result = None;
-            if let Some(rx) = &self.peers[p].dial {
-                match rx.try_recv() {
-                    Ok(r) => dial_result = Some(r),
-                    Err(mpsc::TryRecvError::Empty) => {}
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        dial_result = Some(Err(std::io::Error::other("dialer thread vanished")))
-                    }
-                }
-            }
-            match dial_result {
-                Some(Ok(stream)) => {
-                    progress = true;
-                    let link = &mut self.peers[p];
-                    link.dial = None;
-                    match Conn::new(stream) {
-                        Ok(mut conn) => {
-                            let hello = conn.queue(&Frame::Hello {
-                                node: self.me.0,
-                                kind: PeerKind::Site,
-                            });
-                            match hello {
-                                Ok(()) => {
-                                    link.connected_at = Some(now);
-                                    if link.ever_connected {
-                                        self.metrics.inc("net.reconnects");
-                                    }
-                                    link.ever_connected = true;
-                                    // First-ever success closes immediately;
-                                    // a recovering link waits out the
-                                    // stability window (step 2).
-                                    if link.circuit.failures() == 0 {
-                                        link.circuit.on_success();
-                                    }
-                                    while let Some(msg) = link.pending.pop_front() {
-                                        conn.queue(&Frame::Proto {
-                                            from: self.me.0,
-                                            msg,
-                                        })?;
-                                    }
-                                    link.conn = Some(conn);
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        Err(e) => {
-                            link.last_err = format!("configure socket: {e}");
-                            self.fail_link(p, now)?;
-                        }
-                    }
-                }
-                Some(Err(e)) => {
-                    progress = true;
-                    let link = &mut self.peers[p];
-                    link.dial = None;
-                    link.last_err = e.to_string();
-                    self.fail_link(p, now)?;
-                }
-                None => {}
-            }
-            // 4. Launch a new probe if the link should be up and the
-            //    circuit allows one.
-            let link = &mut self.peers[p];
-            let needs_conn = link.conn.is_none()
-                && link.dial.is_none()
-                && (link.want || !link.pending.is_empty());
-            if needs_conn && link.circuit.try_probe(now) {
-                let Some(addr) = link.addr else {
-                    return Err(EngineError::UnknownSite(p as SiteId));
-                };
-                let timeout = self.backoff.connect_timeout();
-                let (tx, rx) = mpsc::channel();
-                link.dial = Some(rx);
-                self.metrics.inc("net.backoff.attempts");
-                std::thread::Builder::new()
-                    .name(format!("pv-dial-{}-{p}", self.me.0))
-                    .spawn(move || {
-                        let _ = tx.send(TcpStream::connect_timeout(&addr, timeout));
-                    })
-                    .map_err(|e| EngineError::Io(format!("spawn dialer: {e}")))?;
-            }
-        }
-        Ok(progress)
     }
 
     /// Records a failure on peer link `p`: the circuit opens with the next
     /// backoff delay (observable as `net.circuit_open` / `net.backoff.*`),
     /// or, past the attempt budget, the node gives up with a structured
     /// [`EngineError::Unreachable`].
-    fn fail_link(&mut self, p: usize, now: Instant) -> Result<(), EngineError> {
+    fn fail_link(&mut self, p: usize, why: String) -> Result<(), EngineError> {
         let link = &mut self.peers[p];
-        match link.circuit.on_failure(now) {
+        link.last_err = why;
+        match link.circuit.on_failure(Instant::now()) {
             CircuitVerdict::Backoff { wait } => {
-                self.metrics.inc("net.circuit_open");
-                self.metrics
-                    .observe("net.backoff.wait_ms", wait.as_secs_f64() * 1e3);
+                let mut m = self.metrics.lock();
+                m.inc("net.circuit_open");
+                m.observe("net.backoff.wait_ms", wait.as_secs_f64() * 1e3);
                 Ok(())
             }
             CircuitVerdict::Exhausted => {
-                self.metrics.inc("net.backoff.exhausted");
+                self.metrics.lock().inc("net.backoff.exhausted");
                 let addr = link
                     .addr
                     .map(|a| a.to_string())
@@ -601,197 +366,363 @@ impl Node {
         }
     }
 
-    fn snapshot(&self) -> NodeSnapshot {
-        NodeSnapshot {
-            site: self.site.id(),
-            items: self
-                .site
-                .store()
-                .iter_items()
-                .map(|(i, e)| (i, e.clone()))
-                .collect(),
-            poly_count: self.site.poly_count() as u64,
-            quiescent: self.site.is_quiescent(),
+    /// A dial of peer link `p` finished.
+    fn on_dialed(&mut self, p: usize, result: io::Result<Conn>) -> Result<(), EngineError> {
+        let mut conn = match result {
+            Ok(conn) => conn,
+            Err(e) => {
+                self.peers[p].dialer = false;
+                return self.fail_link(p, e.to_string());
+            }
+        };
+        let hello = Frame::Hello {
+            node: self.me.0,
+            kind: PeerKind::Site,
+        };
+        if !write_frame(&mut self.out, &self.metrics, &mut conn.0, &hello) {
+            return Ok(()); // dropping `conn` makes the dialer report the loss
+        }
+        let link = &mut self.peers[p];
+        link.conn = Some(conn);
+        link.connected_at = Some(Instant::now());
+        if link.ever_connected {
+            self.metrics.lock().inc("net.reconnects");
+        }
+        link.ever_connected = true;
+        // First-ever success closes immediately; a recovering link waits
+        // out the stability window (see `housekeep`).
+        if link.circuit.failures() == 0 {
+            link.circuit.on_success();
+        }
+        while self.peers[p].conn.is_some() {
+            let Some(msg) = self.peers[p].pending.pop_front() else {
+                break;
+            };
+            self.write_peer(p, msg);
+        }
+        Ok(())
+    }
+
+    /// Handles one decoded frame from inbound connection `conn`.
+    fn on_frame(
+        &mut self,
+        driver: &mut SiteDriver<Site>,
+        conn: u64,
+        frame: Frame,
+    ) -> ControlFlow<()> {
+        match frame {
+            Frame::Hello { node, kind: _ } => {
+                if self.conns.contains_key(&conn) {
+                    self.routes.insert(node, conn);
+                }
+            }
+            Frame::Proto { from, msg } => driver.deliver(self, NodeId(from), msg),
+            Frame::InspectReq => {
+                let site = driver.actor();
+                let snap = NodeSnapshot {
+                    site: site.id(),
+                    items: site
+                        .store()
+                        .iter_items()
+                        .map(|(i, e)| (i, e.clone()))
+                        .collect(),
+                    poly_count: site.poly_count() as u64,
+                    quiescent: site.is_quiescent(),
+                };
+                self.reply(conn, &Frame::InspectResp(snap));
+            }
+            Frame::MetricsReq => {
+                // Storage metrics were flushed by the engine inside the last
+                // callback; the registry is current.
+                let wire = WireMetrics::from_metrics(&self.metrics.lock());
+                self.reply(conn, &Frame::MetricsResp(wire));
+            }
+            Frame::ConfigBackoff(cfg) => {
+                let policy = Backoff::from_config(&cfg);
+                set_policy(&mut self.backoff, &mut self.peers, policy);
+                self.metrics.lock().inc("net.backoff.reconfigured");
+            }
+            Frame::Shutdown => return ControlFlow::Break(()),
+            // Responses are never addressed *to* a site.
+            Frame::InspectResp(_) | Frame::MetricsResp(_) => {
+                self.metrics.lock().inc("net.unexpected_frame");
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+impl Transport<Site> for Sockets {
+    type Event = Event;
+
+    /// Routes one outgoing message: a peer-site link, or a client connection
+    /// (by the node id its `Hello` registered). A missing client route drops
+    /// the message like a datagram — the protocol's timers and inquiries
+    /// already tolerate loss. A message for a peer site that is currently
+    /// down queues (bounded) for delivery on reconnect.
+    fn send(&mut self, to: NodeId, msg: Msg) {
+        let p = to.0 as usize;
+        if p < self.peers.len() {
+            if self.peers[p].conn.is_some() {
+                self.write_peer(p, msg);
+                return;
+            }
+            let link = &mut self.peers[p];
+            if link.pending.len() >= PENDING_CAP {
+                link.pending.pop_front();
+                self.metrics.lock().inc("net.dropped_peer_down");
+            }
+            link.pending.push_back(msg);
+        } else if let Some(&conn) = self.routes.get(&to.0) {
+            self.reply(
+                conn,
+                &Frame::Proto {
+                    from: self.me.0,
+                    msg,
+                },
+            );
+        } else {
+            self.metrics.lock().inc("net.dropped_no_route");
         }
     }
 
-    /// Serves until a `Shutdown` frame arrives (returning the final
-    /// [`Site`]) or a fatal error occurs: listener failure, or a peer site
-    /// unreachable past the backoff policy's attempt budget.
-    pub fn run(mut self) -> Result<Site, EngineError> {
-        let wired = self
-            .peers
-            .iter()
-            .enumerate()
-            .filter(|(p, link)| *p as u32 != self.me.0 && link.addr.is_some())
-            .count();
-        if wired != self.sites as usize - 1 {
-            return Err(EngineError::Io(format!(
-                "peer table has {wired} addresses for {} sites",
-                self.sites
-            )));
+    fn on_event(
+        &mut self,
+        driver: &mut SiteDriver<Site>,
+        event: Event,
+    ) -> Result<ControlFlow<()>, EngineError> {
+        match event {
+            Event::Frame { conn, frame } => return Ok(self.on_frame(driver, conn, frame)),
+            Event::Wake => {}
+            Event::Closed { conn } => {
+                if self.conns.contains_key(&conn) {
+                    self.close(conn);
+                }
+            }
+            Event::Dialed { peer, result } => self.on_dialed(peer, result)?,
+            Event::PeerLost { peer } => {
+                let link = &mut self.peers[peer];
+                link.dialer = false;
+                link.conn = None;
+                link.connected_at = None;
+                self.metrics.lock().inc("net.peer_conn_lost");
+                self.fail_link(peer, "connection closed by peer".into())?;
+            }
+            Event::ListenerFailed(e) => return Err(EngineError::Io(format!("accept: {e}"))),
         }
-        if self.recovered {
-            self.callback(|site, ctx| site.on_recover(ctx))?;
-            self.drain_loopback()?;
-            self.metrics.inc("net.cold_recoveries");
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// Re-closes the circuit of links that stayed up through the stability
+    /// window, and starts a dialer for every link that should be up when its
+    /// circuit allows a probe. Never blocks.
+    fn housekeep(&mut self) -> Result<(), EngineError> {
+        let now = Instant::now();
+        // The circuit re-closes only once a connection has stayed up this
+        // long, so a link that flaps (accept-then-kill partitions) keeps
+        // climbing the backoff curve instead of hot-cycling at dial speed.
+        let stability = self.backoff.base.max(Duration::from_millis(250));
+        for (p, link) in self.peers.iter_mut().enumerate() {
+            if p as u32 == self.me.0 {
+                continue;
+            }
+            if let Some(t) = link.connected_at {
+                if link.circuit.failures() > 0 && now.duration_since(t) >= stability {
+                    link.circuit.on_success();
+                    self.metrics.lock().inc("net.circuit_reclosed");
+                }
+            }
+            if link.conn.is_some() || link.dialer || !link.circuit.try_probe(now) {
+                continue;
+            }
+            let Some(addr) = link.addr else {
+                return Err(EngineError::UnknownSite(p as SiteId));
+            };
+            let timeout = self.backoff.connect_timeout();
+            let inbox = self.inbox.clone();
+            link.dialer = true;
+            self.metrics.lock().inc("net.backoff.attempts");
+            spawn_io(format!("pv-dial-{}-{p}", self.me.0), move || {
+                dial(addr, timeout, p, inbox)
+            })?;
         }
+        Ok(())
+    }
+
+    fn tick(&self) -> Duration {
+        TICK
+    }
+}
+
+/// Encodes `frame` into `out` and writes it whole. Fails, counted, when the
+/// frame cannot be encoded (over the frame limit) or the write fails or
+/// times out; the caller then drops that connection and only that one.
+fn write_frame(
+    out: &mut BytesMut,
+    metrics: &Mutex<Metrics>,
+    stream: &mut TcpStream,
+    frame: &Frame,
+) -> bool {
+    out.clear();
+    let failure = match encode_frame(frame, out) {
+        Err(_) => "net.encode_failed",
+        Ok(()) => match stream.write_all(out) {
+            Err(_) => "net.write_failed",
+            Ok(()) => return true,
+        },
+    };
+    metrics.lock().inc(failure);
+    false
+}
+
+/// Swaps the dial/reconnect policy of a node and all its peer circuits.
+fn set_policy(backoff: &mut Backoff, peers: &mut [PeerLink], policy: Backoff) {
+    *backoff = policy;
+    for link in peers {
+        link.circuit.set_policy(policy);
+    }
+}
+
+/// Spawns one helper thread with the I/O stack. Helpers are detached: each
+/// ends by itself once its socket is shut down, the inbox is gone or (the
+/// acceptor) its stop flag is up, as `tests/thread_hygiene.rs` pins.
+/// Joining them would make shutdown wait out a dialer's connect timeout.
+fn spawn_io(name: String, f: impl FnOnce() + Send + 'static) -> Result<(), EngineError> {
+    std::thread::Builder::new()
+        .name(name)
+        .stack_size(IO_STACK)
+        .spawn(f)
+        .map(drop)
+        .map_err(|e| EngineError::Io(format!("spawn thread: {e}")))
+}
+
+/// Readies an accepted or dialed socket: no Nagle delay, the write timeout,
+/// and a second handle for the thread that reads it.
+fn prepare(stream: &TcpStream) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    stream.try_clone()
+}
+
+/// The acceptor thread: takes each inbound connection, registers its write
+/// half with the site and starts its reader, until the stop flag is raised.
+fn accept_loop(
+    listener: TcpListener,
+    shared: Arc<Shared<Site, Sockets>>,
+    inbox: Sender<Event>,
+    stop: Arc<AtomicBool>,
+) {
+    let mut next = 0u64;
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) if e.kind() == ErrorKind::ConnectionAborted => continue,
+            Err(e) => {
+                let _ = inbox.send(Event::ListenerFailed(e));
+                return;
+            }
+        };
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok(reader) = prepare(&stream) else {
+            continue;
+        };
+        let conn = next;
+        next += 1;
+        {
+            let mut guard = shared.lock();
+            let Some((_, net)) = guard.as_mut() else {
+                return;
+            };
+            net.conns.insert(conn, Conn(stream));
+            net.metrics.lock().inc("net.accepted");
+        }
+        let (node, tx) = (Arc::clone(&shared), inbox.clone());
+        let spawned = spawn_io(format!("pv-read-{conn}"), move || {
+            read_frames(reader, conn, node, tx)
+        });
+        if spawned.is_err() {
+            let _ = inbox.send(Event::Closed { conn });
+        }
+    }
+}
+
+/// A reader thread: decodes frames off one inbound connection until EOF, a
+/// socket error or a malformed frame (a malformed stream cannot be
+/// resynchronised), then reports the connection closed. A client's frames
+/// it applies to the site itself, one at a time, so a client that sends
+/// faster than the site serves stalls in its own writes. Once
+/// the peer says it is a site, the frames go to the driver's inbox
+/// instead: a site connection's reader never waits for the site, so it
+/// always drains (see the module doc).
+fn read_frames(
+    mut stream: TcpStream,
+    conn: u64,
+    shared: Arc<Shared<Site, Sockets>>,
+    inbox: Sender<Event>,
+) {
+    let (mut buf, mut site) = (Vec::new(), false);
+    'conn: loop {
+        let start = buf.len();
+        buf.resize(start + READ_CHUNK, 0);
+        let n = match stream.read(&mut buf[start..]) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => n,
+        };
+        buf.truncate(start + n);
+        let mut at = 0;
         loop {
-            let mut progress = false;
-
-            // 1. Fire due timers.
-            loop {
-                match self.timers.peek() {
-                    Some(t) if t.due <= Instant::now() => {
-                        let t = self.timers.pop().expect("peeked");
-                        if self.cancelled.remove(&t.id) {
-                            continue;
+            match decode_frame(&buf[at..]) {
+                Ok(Some((frame, used))) => {
+                    at += used;
+                    site |= matches!(
+                        frame,
+                        Frame::Hello {
+                            kind: PeerKind::Site,
+                            ..
                         }
-                        let key = t.key;
-                        self.callback(|site, ctx| site.on_timer(ctx, key))?;
-                        self.drain_loopback()?;
-                        progress = true;
-                    }
-                    _ => break,
-                }
-            }
-
-            // 2. Advance peer links (dial results, reconnect probes).
-            progress |= self.pump_peers()?;
-
-            // 3. Accept new connections.
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        let conn = Conn::new(stream)
-                            .map_err(|e| EngineError::Io(format!("accept: {e}")))?;
-                        self.conns.push(Some(conn));
-                        self.metrics.inc("net.accepted");
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) => return Err(EngineError::Io(format!("accept: {e}"))),
-                }
-            }
-
-            // 4. Read every connection and parse complete frames. IO and
-            // engine work are separate passes so the engine borrows cleanly.
-            let mut events: Vec<(usize, Frame)> = Vec::new();
-            for (i, slot) in self.conns.iter_mut().enumerate() {
-                let Some(conn) = slot else { continue };
-                if conn.fill() {
-                    progress = true;
-                }
-                loop {
-                    match decode_frame(&conn.rbuf) {
-                        Ok(Some((frame, n))) => {
-                            conn.rbuf.drain(..n);
-                            events.push((i, frame));
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // A malformed stream cannot be resynchronised;
-                            // drop the connection. (Counted, not fatal: only
-                            // this peer is affected.)
-                            conn.dead = true;
-                            break;
-                        }
+                    );
+                    let served = if site {
+                        inbox.send(Event::Frame { conn, frame }).is_ok()
+                    } else {
+                        let apply = |d: &mut SiteDriver<Site>, net: &mut Sockets| {
+                            net.on_frame(d, conn, frame)
+                        };
+                        SiteDriver::apply(&shared, apply, || drop(inbox.send(Event::Wake)))
+                    };
+                    if !served {
+                        return;
                     }
                 }
-            }
-
-            // Also drain outbound peer sockets so EOF is noticed (peers
-            // never send frames back on our dialed pipe).
-            for link in &mut self.peers {
-                if let Some(conn) = link.conn.as_mut() {
-                    conn.fill();
-                }
-            }
-
-            // 5. Process frames through the engine.
-            for (slot, frame) in events {
-                progress = true;
-                match frame {
-                    Frame::Hello { node, kind: _ } => {
-                        self.routes.insert(node, slot);
-                    }
-                    Frame::Proto { from, msg } => {
-                        let from = NodeId(from);
-                        self.callback(|site, ctx| site.on_message(ctx, from, msg))?;
-                        self.drain_loopback()?;
-                    }
-                    Frame::InspectReq => {
-                        let snap = self.snapshot();
-                        if let Some(conn) = self.conns[slot].as_mut() {
-                            conn.queue(&Frame::InspectResp(snap))?;
-                        }
-                    }
-                    Frame::MetricsReq => {
-                        // Storage metrics were flushed by the engine inside
-                        // the last callback; the registry is current.
-                        let wire = WireMetrics::from_metrics(&self.metrics);
-                        if let Some(conn) = self.conns[slot].as_mut() {
-                            conn.queue(&Frame::MetricsResp(wire))?;
-                        }
-                    }
-                    Frame::ConfigBackoff(cfg) => {
-                        self.set_backoff(Backoff::from_config(&cfg));
-                        self.metrics.inc("net.backoff.reconfigured");
-                    }
-                    Frame::Shutdown => {
-                        self.site.sync_store();
-                        // Best-effort flush of queued replies before exit.
-                        for conn in self.conns.iter_mut().flatten() {
-                            conn.flush();
-                        }
-                        for link in &mut self.peers {
-                            if let Some(conn) = link.conn.as_mut() {
-                                conn.flush();
-                            }
-                        }
-                        return Ok(self.site);
-                    }
-                    // Responses are never addressed *to* a site.
-                    Frame::InspectResp(_) | Frame::MetricsResp(_) => {
-                        self.metrics.inc("net.unexpected_frame");
-                    }
-                }
-            }
-
-            // 6. Flush pending writes (write backpressure drain).
-            for conn in self.conns.iter_mut().flatten() {
-                conn.flush();
-            }
-            for link in &mut self.peers {
-                if let Some(conn) = link.conn.as_mut() {
-                    conn.flush();
-                }
-            }
-
-            // 7. Reap dead inbound connections (slots stay; routes drop).
-            for (i, slot) in self.conns.iter_mut().enumerate() {
-                if matches!(slot, Some(c) if c.dead) {
-                    *slot = None;
-                    self.routes.retain(|_, &mut s| s != i);
-                    self.metrics.inc("net.conn_closed");
-                }
-            }
-
-            // 8. Idle: sleep with an exponentially decaying tick, clamped
-            // to the next timer deadline; any progress resets the decay.
-            if !progress {
-                self.metrics.inc("net.idle_wakeups");
-                let mut tick = self.idle_tick;
-                if let Some(t) = self.timers.peek() {
-                    tick = tick.min(t.due.saturating_duration_since(Instant::now()));
-                }
-                std::thread::sleep(tick.max(IDLE_MIN));
-                self.idle_tick = (self.idle_tick * 2).min(IDLE_MAX);
-            } else {
-                self.idle_tick = IDLE_MIN;
+                Ok(None) => break,
+                Err(_) => break 'conn,
             }
         }
+        buf.drain(..at);
     }
+    let _ = inbox.send(Event::Closed { conn });
+}
+
+/// A dialer thread: connects to peer `peer`, reports the result, and then
+/// reads the connection only to notice its end (peers never send on a
+/// dialed link), which it reports as [`Event::PeerLost`].
+fn dial(addr: SocketAddr, timeout: Duration, peer: usize, inbox: Sender<Event>) {
+    let connected = TcpStream::connect_timeout(&addr, timeout)
+        .and_then(|stream| prepare(&stream).map(|reader| (stream, reader)));
+    let (result, reader) = match connected {
+        Ok((stream, reader)) => (Ok(Conn(stream)), Some(reader)),
+        Err(e) => (Err(e), None),
+    };
+    if inbox.send(Event::Dialed { peer, result }).is_err() {
+        return;
+    }
+    let Some(mut reader) = reader else {
+        return;
+    };
+    let mut sink = [0u8; 256];
+    while !matches!(reader.read(&mut sink), Ok(0) | Err(_)) {}
+    let _ = inbox.send(Event::PeerLost { peer });
 }
 
 /// Jitter salt of the (node, peer) directed link.

@@ -5,8 +5,9 @@
 //! drivers hand the key back via
 //! [`Input::Timer`](crate::machine::Input::Timer) when the timer fires. For
 //! runtimes whose timer facility carries a bare `u64` (the simulation's
-//! `Ctx::set_timer`, the live runtime's timer wheel), [`TimerKey::encode`]
-//! packs the key into one word and [`TimerKey::decode`] recovers it:
+//! `Ctx::set_timer`, the wall-clock `SiteDriver`'s timer heap),
+//! [`TimerKey::encode`] packs the key into one word and
+//! [`TimerKey::decode`] recovers it:
 //!
 //! ```text
 //! 63     60 59        48 47        32 31                     0

@@ -268,7 +268,7 @@ impl Metrics {
 
     /// Adds `by` to the counter `name` (creating it at zero).
     pub fn inc_by(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += by;
+        *entry(&mut self.counters, name) += by;
     }
 
     /// Adds one to the counter `name`.
@@ -283,7 +283,7 @@ impl Metrics {
 
     /// Appends a gauge sample at time `t`.
     pub fn gauge(&mut self, name: &str, t: SimTime, v: f64) {
-        self.gauges.entry(name.to_owned()).or_default().push((t, v));
+        entry(&mut self.gauges, name).push((t, v));
     }
 
     /// The sample series of a gauge (empty if never sampled).
@@ -329,10 +329,7 @@ impl Metrics {
 
     /// Records an observation into histogram `name`.
     pub fn observe(&mut self, name: &str, v: f64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe(v);
+        entry(&mut self.histograms, name).observe(v);
     }
 
     /// The histogram `name`, if any observation was recorded.
@@ -397,6 +394,16 @@ impl Metrics {
             }
         }
     }
+}
+
+/// The value under `name`, inserted as the default if absent. Unlike
+/// `BTreeMap::entry`, it allocates the key only on first use: the runtimes
+/// record several metrics per request.
+fn entry<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 impl fmt::Display for Metrics {

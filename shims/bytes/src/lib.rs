@@ -77,6 +77,11 @@ impl BytesMut {
         BytesMut(Vec::with_capacity(cap))
     }
 
+    /// Empties the buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
     /// Converts into an immutable [`Bytes`] without copying.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.0)
